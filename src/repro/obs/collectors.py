@@ -300,6 +300,12 @@ class RouteCacheStats(Collector):
     the standard bundle for any topology.  The counters are deterministic
     functions of the simulated route requests, so per-process sets merge
     identically to a serial run like every other collector here.
+
+    ``route_cache.*`` counts memo lookups only.  The SoA driver routes
+    NORMAL headers at fault-free switches through the adapter's
+    closed-form table instead, so these counters differ between
+    ``engine="soa"`` and ``engine="active"`` runs of the same workload
+    (fingerprints and identities do not).
     """
 
     def __init__(self) -> None:

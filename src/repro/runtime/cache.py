@@ -55,7 +55,12 @@ CACHE_SCHEMA = 1
 #:    candidates in sorted-cid order (grant-conflict winners are
 #:    candidate-order dependent, so heavily contended runs' observable
 #:    results shifted).
-CODE_VERSION = 5
+#: 6: a decision with no outputs and no drop (a broadcast copy entering a
+#:    crossbar whose only other router is faulty) is a sink for that copy,
+#:    not a whole-packet drop; and the SoA route phase routes NORMAL
+#:    headers at fault-free switches without a memo lookup, so
+#:    ``route_cache.*`` metrics of ``engine="soa"`` specs shrink.
+CODE_VERSION = 6
 
 
 def spec_key(spec: RunSpec) -> str:

@@ -975,9 +975,14 @@ class CycleEngine:
                 if cin is not None and vcs[cin].buffer:
                     route_candidates.add(cin)
                 finished.append(conn_key)
-                if not couts:  # drop connection swallowed the packet
-                    inf = self.in_flight.pop(conn.pid, None)
-                    if inf is not None:
+                if not couts:
+                    # a drop connection swallowed the packet; a sink (a
+                    # decision with no outputs and no drop, e.g. a
+                    # broadcast copy whose only onward router is faulty)
+                    # swallowed just this copy while the others spread on
+                    inf = self.in_flight.get(conn.pid)
+                    if inf is not None and inf.dropped:
+                        del self.in_flight[conn.pid]
                         self.dropped.append(inf.packet)
         for key in finished:
             del self.connections[key]

@@ -14,8 +14,14 @@ reductions:
   flits by a flag-matrix reduction (per-tail delivery bookkeeping stays
   scalar: deliveries are rare relative to flit moves);
 * **route** filters the candidate mask down to genuinely unrouted headers
-  with vector comparisons, then resolves them through the adapter's batch
-  lookup (:func:`~repro.sim.adapter.decide_batch`, memo-first);
+  with vector comparisons, then splits them: NORMAL headers at switches
+  with no local fault information take the closed form -- array
+  arithmetic on the adapter's optional ``normal_table()``
+  (:class:`~repro.sim.routetable.NormalRouteTable`), which never touches
+  the route memo -- and every other header (RC 1/2/3, fault-adjacent
+  switches, adapters without a table) goes through the adapter's batch
+  lookup (:func:`~repro.sim.adapter.decide_batch`, memo-first).  The two
+  results merge back in candidate order, so grant order is unchanged;
 * **grant** resolves each crossbar's input-port conflicts with a
   first-request-per-output ``np.unique`` reduction instead of the
   per-:class:`~repro.sim.fabric.PendingRequest` Python loop (the scalar
@@ -64,14 +70,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.packet import FlitKind
+from ..core.packet import RC, FlitKind
+from ..core.switch_logic import RoutingError
 from .adapter import decide_batch
-from .fabric import Connection, PendingRequest, SimFlit
+from .fabric import Connection, InFlightPacket, PendingRequest, SimFlit
 
 _HEAD = int(FlitKind.HEAD)
 _BODY = int(FlitKind.BODY)
 _TAIL = int(FlitKind.TAIL)
 _HEAD_TAIL = int(FlitKind.HEAD_TAIL)
+_NORMAL = RC.NORMAL
 
 #: hooks whose subscribers need the scalar engine's per-event call sites
 SCALAR_HOOKS: Tuple[str, ...] = (
@@ -483,54 +491,83 @@ class SoAKernel:
         pids = self.buf_pid[cand, self.buf_start[cand]]
         cand_l = cand.tolist()
         pids_l = pids.tolist()
-        hdr = self.hdr_by_pid
-        queries = [
-            (self.el_of[cid], self.chan_src[cid], 0, hdr[pid])
-            for cid, pid in zip(cand_l, pids_l)
-        ]
-        try:
-            decisions = decide_batch(eng.adapter, queries)
-        except Exception as exc:
-            from ..core.switch_logic import RoutingError
-
-            if isinstance(exc, RoutingError):
+        n = len(cand_l)
+        hdrs = list(map(self.hdr_by_pid.__getitem__, pids_l))
+        cycle = eng.cycle
+        # one request per candidate, in candidate (cid) order; a drop
+        # leaves its slot empty.  Nothing is committed until every
+        # decision checks out -- a bail must leave the fabric untouched
+        # (only the wanted memo fills in, and that is a pure topology
+        # cache)
+        recs: List[Optional[_PendRec]] = [None] * n
+        rest = range(n)
+        table_fn = getattr(eng.adapter, "normal_table", None)
+        if table_fn is not None:
+            # closed form: NORMAL headers at fault-free switches, routed by
+            # array arithmetic without touching the adapter's memo
+            table = table_fn()
+            node_of = table.node_of
+            dests = np.fromiter(
+                (
+                    node_of.get(h.dest, -1) if h.rc is _NORMAL else -1
+                    for h in hdrs
+                ),
+                dtype=np.int64,
+                count=n,
+            )
+            closed = table.clear[cand] & (dests >= 0)
+            idx = np.nonzero(closed)[0]
+            if idx.size:
+                idx_l = idx.tolist()
+                outs = table.route(cand[idx], dests[idx]).tolist()
+                for i, (wanted, d) in zip(idx_l, table.requests(outs)):
+                    recs[i] = _PendRec(pids_l[i], cand_l[i], wanted, d, cycle)
+                rest = np.nonzero(~closed)[0].tolist()
+        drops: List[int] = []
+        new_any = 0
+        if rest:
+            # residual path: every other header goes through the adapter
+            el_of = self.el_of
+            chan_src = self.chan_src
+            try:
+                decisions = decide_batch(
+                    eng.adapter,
+                    [
+                        (el_of[cand_l[i]], chan_src[cand_l[i]], 0, hdrs[i])
+                        for i in rest
+                    ],
+                )
+            except RoutingError:
                 # decisions are pure: the scalar route phase will hit the
                 # same error and run the unroutable-packet kill path
                 return "unroutable packet (online reconfiguration)"
-            raise
-        # one pass, nothing committed until every decision checks out --
-        # a bail mid-batch must leave the fabric untouched (only the
-        # wanted memo fills in, and that is a pure topology cache)
-        cycle = eng.cycle
-        memo = eng._wanted_memo
-        el_of = self.el_of
-        new_recs: List[_PendRec] = []
-        new_any = 0
-        drops: List[Tuple[int, int]] = []
-        for cid, pid, d in zip(cand_l, pids_l, decisions):
-            if d.drop:
-                drops.append((cid, pid))
-                continue
-            if d.serialize:
-                return "serialized (S-XB) decision"
-            if d.policy != "any":
-                if len(d.outputs) != 1:
-                    return "multicast decision"
-            elif not d.outputs:
-                return "adaptive decision with no outputs"
-            el = el_of[cid]
-            wkey = (el, d.outputs)
-            wanted = memo.get(wkey)
-            if wanted is None:
-                wanted = tuple(
-                    (eng.topo.channel(el, out_el).cid, out_vc)
-                    for out_el, out_vc in d.outputs
-                )
-                memo[wkey] = wanted
-            new_recs.append(_PendRec(pid, cid, wanted, d, cycle))
-            if d.policy == "any":
-                new_any += 1
-        for cid, pid in drops:
+            memo = eng._wanted_memo
+            for i, d in zip(rest, decisions):
+                if d.drop:
+                    drops.append(i)
+                    continue
+                if d.serialize:
+                    return "serialized (S-XB) decision"
+                if d.policy != "any":
+                    if len(d.outputs) != 1:
+                        return "multicast decision"
+                elif not d.outputs:
+                    return "adaptive decision with no outputs"
+                el = el_of[cand_l[i]]
+                wkey = (el, d.outputs)
+                wanted = memo.get(wkey)
+                if wanted is None:
+                    wanted = tuple(
+                        (eng.topo.channel(el, out_el).cid, out_vc)
+                        for out_el, out_vc in d.outputs
+                    )
+                    memo[wkey] = wanted
+                recs[i] = _PendRec(pids_l[i], cand_l[i], wanted, d, cycle)
+                if d.policy == "any":
+                    new_any += 1
+        for i in drops:
+            cid = cand_l[i]
+            pid = pids_l[i]
             self.fc_alive[cid] = True
             self.fc_pid[cid] = pid
             self.fc_cout[cid] = -1
@@ -541,15 +578,16 @@ class SoAKernel:
             inf = eng.in_flight.get(pid)
             if inf is not None:
                 inf.dropped = True
-        self.pending.extend(new_recs)
-        self.any_count += new_any
         self.route_cand[cand] = False
-        if new_recs:
-            self.pend_cin[
-                np.fromiter(
-                    (r.cin for r in new_recs), np.int64, count=len(new_recs)
-                )
-            ] = True
+        if drops:
+            kept = np.ones(n, dtype=bool)
+            kept[drops] = False
+            self.pending.extend(r for r in recs if r is not None)
+            self.pend_cin[cand[kept]] = True
+        else:
+            self.pending.extend(recs)
+            self.pend_cin[cand] = True
+        self.any_count += new_any
         return None
 
     def phase_grant(self) -> None:
@@ -786,14 +824,17 @@ class SoAKernel:
             self.route_cand[td[nonempty]] = True
             drops = td[douts < 0]
             if drops.size:
-                eng = self.eng
+                in_flight = self.eng.in_flight
                 for cid in drops[
                     np.argsort(self.fc_order[drops], kind="stable")
                 ].tolist():
                     pid = int(self.fc_pid[cid])
-                    inf = eng.in_flight.pop(pid, None)
+                    inf = in_flight.get(pid)
                     if inf is not None:
-                        eng.dropped.append(inf.packet)
+                        if not inf.dropped:
+                            continue  # a sink swallowed only this copy
+                        del in_flight[pid]
+                        self.eng.dropped.append(inf.packet)
                     self.hdr_by_pid.pop(pid, None)
         self.flit_moves += int(fm.size)
 
@@ -864,8 +905,6 @@ class SoAKernel:
             self.ic_packet[p] = packet
             self.nconns += 1
             self.hdr_by_pid[packet.pid] = packet.header
-            from .fabric import InFlightPacket
-
             eng.in_flight[packet.pid] = InFlightPacket(
                 packet=packet,
                 expected_deliveries=eng.expected_deliveries(packet),

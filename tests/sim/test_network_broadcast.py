@@ -1,8 +1,11 @@
 """Simulator tests: hardware broadcast via the serialized crossbar."""
 
+import pytest
 
 from repro.core import Fault, Header, Packet, RC
 from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
+from repro.topology import MDCrossbar
+from repro.topology.base import rtr, xb
 from tests.conftest import make_logic
 
 
@@ -142,3 +145,43 @@ class TestNaiveBroadcastMode:
         res = sim.run(max_cycles=5000)
         assert not res.deadlocked
         assert len(res.delivered) == 2
+
+
+class TestBroadcastSink:
+    """In a dimension of extent 2 a broadcast copy can enter a crossbar
+    whose only other router is faulty: the decision has no outputs and no
+    drop.  That connection swallows just the copy -- the broadcast still
+    reaches every live PE and is not reported dropped."""
+
+    SHAPE = (4, 4, 2)
+    FAULT = (1, 2, 1)
+
+    def test_copy_decision_has_no_outputs(self):
+        logic = make_logic(
+            MDCrossbar(self.SHAPE), fault=Fault.router(self.FAULT)
+        )
+        d = logic.decide(
+            xb(2, (1, 2)),
+            rtr((1, 2, 0)),
+            Header(source=(0, 0, 0), dest=(0, 0, 0), rc=RC.BROADCAST),
+        )
+        assert d.outputs == () and not d.drop
+
+    @pytest.mark.parametrize("driver", ["active", "legacy", "soa"])
+    @pytest.mark.parametrize("src", [(0, 0, 0), (1, 2, 0), (3, 3, 1)])
+    def test_reaches_every_live_pe(self, driver, src):
+        sim = make_sim(
+            MDCrossbar(self.SHAPE),
+            SimConfig(engine=driver if driver == "soa" else "active",
+                      legacy_scan=driver == "legacy"),
+            fault=Fault.router(self.FAULT),
+        )
+        served = []
+        sim.add_delivery_listener(lambda pkt, coord, cycle: served.append(coord))
+        pkt = bcast(src)
+        sim.send(pkt)
+        res = sim.run(max_cycles=5000)
+        assert not res.deadlocked
+        assert res.dropped == []
+        assert [p.pid for p in res.delivered] == [pkt.pid]
+        assert sorted(served) == sorted(sim.live_nodes)

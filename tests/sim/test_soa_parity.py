@@ -68,7 +68,23 @@ def run_three(workload, shape, until_drained=True, **build_kw):
         and results["soa"].recovery_victims
         == results["active"].recovery_victims
     )
+    assert_closed_form_routing(sims["soa"], sims["active"], results["soa"])
     return sims["soa"], results["soa"]
+
+
+def assert_closed_form_routing(soa, active, res):
+    """The kernel routes NORMAL headers at fault-free switches through the
+    adapter's closed-form table, so when it drove the whole run its memo
+    sees a subset of the keys of a full-memo run (the active driver) -- a
+    strict subset once it has routed any unicast packet.  After a bail the
+    active driver repeats the bailing cycle's lookups, so no bound holds."""
+    if soa.engine_used != "soa":
+        return
+    misses = soa.adapter.cache_info()["misses"]
+    full_keys = active.adapter.cache_info()["size"]
+    assert misses <= full_keys
+    if any(p.header.rc is RC.NORMAL for p in res.delivered + res.dropped):
+        assert misses < full_keys
 
 
 # --------------------------------------------------------- fuzz sweep
@@ -161,6 +177,9 @@ def test_pure_p2p_runs_in_kernel():
     sim, _ = run_three(workload, (4, 3), until_drained=False)
     assert sim.engine_used == "soa"
     assert sim.engine_fallback is None
+    # fault-free: every header took the closed form, none the memo
+    info = sim.adapter.cache_info()
+    assert info["hits"] == info["misses"] == 0
 
 
 def test_broadcast_falls_back_with_reason():
@@ -253,6 +272,7 @@ def test_fig9_recovery_parity():
 
 def test_midrun_fault_reconfiguration_parity():
     results = {}
+    sims = {}
     for driver in DRIVERS:
         reset_pids()
         sim = build(driver, (4, 4), stall_limit=300)
@@ -260,13 +280,24 @@ def test_midrun_fault_reconfiguration_parity():
             BernoulliInjector(load=0.4, pattern=uniform, seed=5, stop_at=200)
         )
         sim.run(max_cycles=55, until_drained=False)
+        before = sim.adapter.normal_table()
         sim.inject_fault(Fault.router((2, 2)))
+        after = sim.adapter.normal_table()
+        # the facility reconfiguration rebuilt the table for the new logic
+        assert after is not before and after.logic is sim.adapter.logic
         results[driver] = sim.run(
             max_cycles=8000, until_drained=False
         ).fingerprint()
+        sims[driver] = sim
     assert results["soa"] == results["active"] == results["legacy"]
     # the dead destination exercised the kernel's drop-connection path
     assert results["soa"][2]  # dropped pids non-empty
+    # fault-adjacent headers took the residual path through the memo;
+    # the rest stayed on the closed form
+    soa, active = sims["soa"], sims["active"]
+    assert soa.engine_used == "soa"
+    misses = soa.adapter.cache_info()["misses"]
+    assert 0 < misses < active.adapter.cache_info()["misses"]
 
 
 def test_adaptive_any_policy_runs_in_kernel():
