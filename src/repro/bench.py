@@ -709,6 +709,32 @@ def _machine_detour_workload(sim: NetworkSimulator) -> None:
                     )
 
 
+#: (source PE, send cycle) of the S-XB broadcasts that ride along with the
+#: detour workload in the machine_2048 broadcast leg
+MACHINE_BROADCASTS: Tuple[Tuple[Tuple[int, int, int], int], ...] = (
+    ((0, 0, 0), 0),
+    ((8, 8, 3), 6),
+    ((15, 15, 7), 12),
+    ((8, 7, 4), 18),
+)
+
+
+def _machine_broadcast_workload(sim: NetworkSimulator) -> None:
+    """The detour workload plus a few ``RC.BROADCAST_REQUEST`` broadcasts
+    sent while it runs: the paper's Figs. 9-10 situation (Y-X-Y
+    broadcast through the S-XB next to X-Y-X-Y detours through the D-XB)
+    at machine scale."""
+    _machine_detour_workload(sim)
+    for src, at in MACHINE_BROADCASTS:
+        sim.send(
+            Packet(
+                Header(source=src, dest=src, rc=RC.BROADCAST_REQUEST),
+                length=8,
+            ),
+            at_cycle=at,
+        )
+
+
 def _machine_run(engine: str, workload, faults=()):
     """One fresh machine-scale run: (fingerprint, wall, result, sim).
     The pid counter restarts so fingerprints rebase identically and the
@@ -769,7 +795,10 @@ def _run_machine_2048(repeats: int = 3, rounds: int = 20) -> Dict:
     path fails the case outright: the whole point is that the kernel
     ran.  The detour leg re-runs a faulted subgrid workload under both
     drivers (untimed gate) so machine-scale detours ride in the
-    identity hash too."""
+    identity hash too.  The broadcast leg adds concurrent S-XB
+    broadcasts to that detour workload (untimed gate, in-kernel or the
+    case fails); it is checked against the active driver but kept out
+    of the identity hash, so baselines taken before it stay valid."""
     repeats = max(1, repeats)
     soa_drift: List[str] = []
 
@@ -812,6 +841,20 @@ def _run_machine_2048(repeats: int = 3, rounds: int = 20) -> Dict:
     if fp_dsoa != fp_dactive:
         soa_drift.append("detour")
 
+    fp_bsoa, _, _, sim_bcast = _machine_run(
+        "soa", _machine_broadcast_workload, faults=faults
+    )
+    if sim_bcast.engine_used != "soa":
+        raise AssertionError(
+            f"machine_2048: broadcast leg fell back to the scalar path "
+            f"({sim_bcast.engine_fallback})"
+        )
+    fp_bactive, _, _, _ = _machine_run(
+        "active", _machine_broadcast_workload, faults=faults
+    )
+    if fp_bsoa != fp_bactive:
+        soa_drift.append("broadcast")
+
     speedup = round(wall_active / wall_soa, 3) if wall_soa > 0 else None
     # a disabled or degraded kernel collapses the ratio toward 1x; the
     # committed baseline records ~7x and compare_bench gates the fine
@@ -829,7 +872,8 @@ def _run_machine_2048(repeats: int = 3, rounds: int = 20) -> Dict:
         "description": (
             f"full 16x16x8 SR2201 ({16 * 16 * 8} PEs): {rounds}-round "
             f"fixed-permutation p2p under the SoA kernel vs the active "
-            f"driver, plus a faulted detour-subgrid parity leg"
+            f"driver, plus faulted detour-subgrid and concurrent "
+            f"broadcast + detour parity legs"
         ),
         "repeats": repeats,
         "rounds": rounds,

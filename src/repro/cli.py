@@ -1035,9 +1035,9 @@ def _doctor_engines() -> List[Tuple[str, bool]]:
     """Engine-mode health: the same doctor-grid workloads under all
     three cycle drivers (batched SoA kernel, scalar active driver,
     legacy full scan) must fingerprint byte-identically; the kernel must
-    actually run in-kernel on its supported workload (no silent
-    fallback); unsupported state must hand back with an explicit
-    reason."""
+    actually run in-kernel on its supported workloads, S-XB broadcast
+    included (no silent fallback); unsupported state (a per-event hook)
+    must hand back with an explicit reason."""
     import itertools
 
     import repro.core.packet as packet_mod
@@ -1047,7 +1047,7 @@ def _doctor_engines() -> List[Tuple[str, bool]]:
 
     shape = (4, 3)
 
-    def run(engine, legacy=False, faults=(), bcast=False):
+    def run(engine, legacy=False, faults=(), bcast=False, hook=False):
         # identical pid streams per driver: fingerprints compare exactly
         packet_mod._packet_ids = itertools.count(1_000_000)
         logic = SwitchLogic(
@@ -1066,6 +1066,8 @@ def _doctor_engines() -> List[Tuple[str, bool]]:
                     length=4,
                 )
             )
+        if hook:
+            sim.hooks.deliver.append(lambda *a: None)
         sim.add_generator(
             BernoulliInjector(load=0.2, pattern=uniform, seed=3, stop_at=80)
         )
@@ -1097,11 +1099,21 @@ def _doctor_engines() -> List[Tuple[str, bool]]:
     fp_b_act, _ = run("active", bcast=True)
     checks.append(
         (
-            f"engine: unsupported state falls back with a reason "
-            f"({sim_b.engine_fallback or 'MISSING'}), identically",
-            sim_b.engine_used == "active"
-            and bool(sim_b.engine_fallback)
+            "engine: S-XB broadcast + unicast ran in-kernel, identically",
+            sim_b.engine_used == "soa"
+            and sim_b.engine_fallback is None
             and fp_b_soa == fp_b_act,
+        )
+    )
+    fp_h_soa, sim_h = run("soa", hook=True)
+    fp_h_act, _ = run("active", hook=True)
+    checks.append(
+        (
+            f"engine: unsupported state falls back with a reason "
+            f"({sim_h.engine_fallback or 'MISSING'}), identically",
+            sim_h.engine_used == "active"
+            and bool(sim_h.engine_fallback)
+            and fp_h_soa == fp_h_act,
         )
     )
     return checks

@@ -454,13 +454,7 @@ class CycleEngine:
         )
         self.engine_fallback: Optional[str] = None
         self._soa = None  # lazily built SoAKernel (static tables survive)
-        # a tuple so the hot ``live_nodes`` property can hand it out
-        # without copying (generators read it every cycle)
-        self._live_nodes = tuple(
-            c
-            for c in self.topo.node_coords()
-            if not self._node_is_dead(c)
-        )
+        self._refresh_live_nodes()
 
     # ------------------------------------------------------------ lifecycle
     def reset(self) -> None:
@@ -519,9 +513,7 @@ class CycleEngine:
         self.hooks = HookBus()
         if self.trace is not None:
             self.hooks.log.append(self.trace)
-        self._live_nodes = tuple(
-            c for c in self.topo.node_coords() if not self._node_is_dead(c)
-        )
+        self._refresh_live_nodes()
 
     # ------------------------------------------------------------- helpers
     def _node_is_dead(self, coord: Coord) -> bool:
@@ -529,6 +521,17 @@ class CycleEngine:
         if logic is None:
             return False
         return logic.registry.router_is_faulty(coord)
+
+    def _refresh_live_nodes(self) -> None:
+        """Recompute the live PEs from the adapter's current logic (after
+        construction, a reset or an online fault event)."""
+        # a tuple so the hot ``live_nodes`` property can hand it out
+        # without copying (generators read it every cycle); the set makes
+        # ``send``'s dead-source check O(1)
+        self._live_nodes = tuple(
+            c for c in self.topo.node_coords() if not self._node_is_dead(c)
+        )
+        self._live_set = frozenset(self._live_nodes)
 
     @property
     def live_nodes(self) -> Sequence[Coord]:
@@ -567,7 +570,7 @@ class CycleEngine:
         src = packet.source
         if src not in self.source_queues:
             raise ValueError(f"unknown source PE {src}")
-        if self._node_is_dead(src):
+        if src not in self._live_set:
             raise ValueError(f"source PE {src} is disconnected by the fault")
         packet.injected_at = self.cycle if packet.injected_at is None else packet.injected_at
         self.source_queues[src].append(packet)

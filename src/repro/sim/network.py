@@ -82,9 +82,7 @@ class NetworkSimulator(CycleEngine):
                 victims.add(conn.pid)
         lost = [self.kill_packet(pid) for pid in sorted(victims)]
         self.adapter.logic = new_logic
-        self._live_nodes = tuple(
-            c for c in self.topo.node_coords() if not self._node_is_dead(c)
-        )
+        self._refresh_live_nodes()
         # rebase surviving broadcasts: a dead PE will never take delivery
         live = set(self._live_nodes)
         for pid, inf in list(self.in_flight.items()):

@@ -21,23 +21,35 @@ reductions:
   the route memo -- and every other header (RC 1/2/3, fault-adjacent
   switches, adapters without a table) goes through the adapter's batch
   lookup (:func:`~repro.sim.adapter.decide_batch`, memo-first).  The two
-  results merge back in candidate order, so grant order is unchanged;
-* **grant** resolves each crossbar's input-port conflicts with a
-  first-request-per-output ``np.unique`` reduction instead of the
-  per-:class:`~repro.sim.fabric.PendingRequest` Python loop (the scalar
-  sequential grant is equivalent to it for single-output ``"all"``-policy
-  requests, the only kind the vector path accepts; adaptive ``"any"``
-  requests drop the cycle's grant phase to an exact scalar loop);
+  results merge back in candidate order, so grant order is unchanged.
+  Serialized decisions join their element's S-XB FIFO instead of the
+  pending list, exactly as the scalar route phase queues them;
+* **grant** first serves the S-XB FIFOs: each non-empty queue, in the
+  engine's ``serial_queues`` first-insertion order, grants its head
+  atomically once every wanted output is free, and a request at an
+  element whose queue is still non-empty waits.  The progressive
+  requests then resolve as one first-occurrence reduction over
+  (request, output) pairs: each free output goes to the first unblocked
+  request that wants it, which is exactly the scalar sequential scan for
+  ``"all"``-policy requests -- multicast requests keep their partial
+  reservations across cycles (the acquire-and-hold of the paper's Fig.
+  5), and a request with no outputs (a broadcast copy whose only onward
+  router is faulty) completes as a sink.  When every request is
+  single-output and no queue is active, the reduction is one
+  ``np.unique`` over the outputs; adaptive ``"any"`` requests drop the
+  cycle's grant phase to an exact scalar loop;
 * **transfer** moves one flit per established connection with fancy-indexed
-  ring-buffer pops and pushes.  The scalar engine iterates connections in
-  dict insertion order, and that order is observable: a connection whose
-  destination buffer is full (or source buffer empty) at phase start still
-  moves if the draining (or supplying) connection comes *earlier* in the
-  iteration.  The kernel therefore splits the phase: order-independent
-  movers (source ready and destination space at phase start) apply
-  vectorized, and the small conditional set resolves in ascending
-  connection order against the recorded enabler orders -- byte-identical
-  to the sequential scan;
+  ring-buffer pops and pushes; a multicast connection (its outputs in a
+  padded ``fc_outs`` row) moves only when every output has space and
+  pushes one copy per output, in lockstep.  The scalar engine iterates
+  connections in dict insertion order, and that order is observable: a
+  connection whose destination buffer is full (or source buffer empty) at
+  phase start still moves if the draining (or supplying) connection comes
+  *earlier* in the iteration.  The kernel therefore splits the phase:
+  order-independent movers (source ready and space on every output at
+  phase start) apply vectorized, and the small conditional set resolves
+  in ascending connection order against the recorded enabler orders --
+  byte-identical to the sequential scan;
 * **inject** mirrors the scalar phase (generators are arbitrary Python
   callbacks and injection order rides on engine state the kernel shares).
 
@@ -47,26 +59,35 @@ scheduled sends, counters) and mutates it directly; only the fabric hot
 state is mirrored into arrays.  On any exit -- drained, horizon, stall,
 or fallback -- :meth:`SoAKernel.sync_out` rebuilds the engine's object
 state (buffers, owners, connection dict in insertion order, pending
-list, candidate sets) exactly as the scalar drivers would have left it,
-so results are byte-identical across ``soa`` / ``active`` /
-``legacy_scan`` and a run may switch drivers mid-flight.
+list with its reservations, S-XB queues, candidate sets) exactly as the
+scalar drivers would have left it, so results are byte-identical across
+``soa`` / ``active`` / ``legacy_scan`` and a run may switch drivers
+mid-flight.
 
-**Scalar fallback.**  The kernel handles the fabric features the paper's
-full-machine workloads exercise: one virtual channel, unicast
-single-output ``"all"`` decisions, adaptive ``"any"`` decisions, and
-drop decisions.  Anything else -- serialized S-XB grants, multicast
-fan-out, more than one VC, or a subscribed per-event hook
-(``cycle_start`` / ``phase_end`` / ``inject`` / ``grant`` / ``block`` /
-``deliver`` / ``log``; the terminal ``deadlock`` / ``recovery`` hooks
-are fine) -- makes it bail *before* mutating anything mid-phase and hand
-the run to the active driver, recording the reason on
+**Headers.**  Head flits of one packet share one header entry.  That is
+sound while the packet has a single copy, and stays sound after a
+multicast fan-out as long as no switch rewrites a copy's RC bit -- the
+paper's broadcast rewrites BROADCAST_REQUEST to BROADCAST once, at the
+S-XB, before the spread.  A decision that would rewrite the header of a
+packet that has fanned out makes the kernel bail instead.
+
+**Scalar fallback.**  The kernel handles every fabric feature of one
+virtual channel: unicast, multicast and sink ``"all"`` decisions,
+serialized S-XB grants, adaptive ``"any"`` decisions and drop
+decisions.  What is left -- more than one VC, a subscribed per-event
+hook (``cycle_start`` / ``phase_end`` / ``inject`` / ``grant`` /
+``block`` / ``deliver`` / ``log``; the terminal ``deadlock`` /
+``recovery`` hooks are fine), an unroutable packet, or a per-copy
+header rewrite -- makes it bail *before* mutating anything mid-phase
+and hand the run to the active driver, recording the reason on
 ``engine.engine_fallback``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +101,9 @@ _BODY = int(FlitKind.BODY)
 _TAIL = int(FlitKind.TAIL)
 _HEAD_TAIL = int(FlitKind.HEAD_TAIL)
 _NORMAL = RC.NORMAL
+#: ``fc_cout`` marker of a multicast connection (outputs in ``fc_outs``);
+#: -1 marks a connection with no outputs (a drop or a sink)
+_MULTI = -2
 
 #: hooks whose subscribers need the scalar engine's per-event call sites
 SCALAR_HOOKS: Tuple[str, ...] = (
@@ -98,15 +122,17 @@ class _PendRec:
     so :meth:`SoAKernel.sync_out` can rebuild the exact
     :class:`PendingRequest`)."""
 
-    __slots__ = ("pid", "cin", "wanted", "decision", "arrived")
+    __slots__ = ("pid", "cin", "wanted", "decision", "arrived", "reserved")
 
-    def __init__(self, pid, cin, wanted, decision, arrived) -> None:
+    def __init__(self, pid, cin, wanted, decision, arrived, reserved=()):
         self.pid = pid
         self.cin = cin
         #: VCKey tuple, engine format (vc is always 0 here)
         self.wanted = wanted
         self.decision = decision
         self.arrived = arrived
+        #: output cids held by a partially reserved multicast request
+        self.reserved = reserved
 
 
 class SoAKernel:
@@ -133,9 +159,19 @@ class SoAKernel:
             self.is_pe[cid] = True
             self.pe_order[cid] = i
             self.pe_coord[cid] = coord
+        # switch elements are numbered for the S-XB blocked mask; the
+        # extra last slot stands for "no element" and is never blocked
+        self.el_index: Dict[tuple, int] = {}
+        n_el = len(eng._inputs)
         self.el_of: List[Optional[tuple]] = [None] * V
-        for (cid, _), el in eng._element_of_input.items():
-            self.el_of[cid] = el
+        el_idx = [n_el] * V
+        for i, (el, keys) in enumerate(eng._inputs.items()):
+            self.el_index[el] = i
+            for cid, _ in keys:
+                self.el_of[cid] = el
+                el_idx[cid] = i
+        self.el_idx = np.array(el_idx, dtype=np.int64)
+        self.el_blocked = np.zeros(n_el + 1, dtype=bool)
         self.chan_src: List[Optional[tuple]] = [None] * V
         for (cid, _), vc in eng.vcs.items():
             self.chan_src[cid] = vc.channel.src
@@ -158,6 +194,9 @@ class SoAKernel:
         self.fc_alive = np.zeros(V, dtype=bool)
         self.fc_pid = np.zeros(V, dtype=np.int64)
         self.fc_cout = np.full(V, -1, dtype=np.int64)
+        #: a multicast connection's outputs, in wanted order, -1 padded
+        #: (widened to the largest fan-out seen)
+        self.fc_outs = np.full((V, 2), -1, dtype=np.int64)
         self.fc_order = np.zeros(V, dtype=np.int64)
         self.fc_started = np.zeros(V, dtype=np.int64)
         # injection connections, indexed by PE slot
@@ -170,8 +209,18 @@ class SoAKernel:
         self.ic_started = np.zeros(P, dtype=np.int64)
         self.ic_packet: List[Optional[object]] = [None] * P
         self.pending: List[_PendRec] = []
+        #: S-XB FIFOs, keyed in the engine's ``serial_queues`` order
+        self.serial: Dict[tuple, deque] = {}
+        #: elements whose S-XB FIFO is non-empty
+        self.serial_active: set = set()
         self.any_count = 0
+        #: pending "all" requests without exactly one output
+        self.nonsingle = 0
+        self.n_multi = 0
         self.hdr_by_pid: dict = {}
+        #: pids that have had a multicast connection: their copies share
+        #: one header entry, so none of them may rewrite it
+        self.fanned: set = set()
         self.order_counter = 0
         self.nconns = 0
         self.flit_moves = 0
@@ -183,31 +232,33 @@ class SoAKernel:
         self.fallback_reason = reason
         return False
 
+    def _rec(self, r: PendingRequest) -> _PendRec:
+        return _PendRec(
+            r.pid,
+            r.cin[0],
+            r.wanted,
+            r.decision,
+            r.arrived_at,
+            {k[0] for k in r.reserved} if r.reserved else (),
+        )
+
     def materialize(self) -> bool:
         """Fill the arrays from the engine's object state.  Returns False
         (with :attr:`fallback_reason` set) when the state needs a scalar
-        driver; nothing is mutated in that case."""
+        driver; the engine's state is never mutated."""
         eng = self.eng
         if eng.config.num_vcs != 1:
             return self._no("num_vcs > 1")
         for name in SCALAR_HOOKS:
             if getattr(eng.hooks, name):
                 return self._no(f"hook '{name}' subscribed")
-        if any(eng.serial_queues.values()):
-            return self._no("serialized (S-XB) request in flight")
-        for req in eng.pending:
-            if req.decision.serialize or req.reserved:
-                return self._no("partially reserved request in flight")
-            if req.decision.policy != "any" and len(req.wanted) != 1:
-                return self._no("multicast request in flight")
-        for conn in eng.connections.values():
-            if len(conn.couts) > 1:
-                return self._no("multicast connection in flight")
         # ---- buffers and owners
         self.buf_len[:] = 0
         self.buf_start[:] = 0
         self.owner[:] = -1
         self.hdr_by_pid.clear()
+        self.fanned.clear()
+        hdr = self.hdr_by_pid
         for (cid, _), vc in eng.vcs.items():
             self.owner[cid] = -1 if vc.owner is None else vc.owner
             if vc.buffer:
@@ -216,7 +267,13 @@ class SoAKernel:
                     self.buf_kind[cid, j] = int(flit.kind)
                     self.buf_seq[cid, j] = flit.seq
                     if flit.header is not None:
-                        self.hdr_by_pid[flit.pid] = flit.header
+                        seen = hdr.get(flit.pid)
+                        if seen is not None:
+                            # a second live copy of a multicast packet
+                            if seen != flit.header:
+                                return self._no("per-copy header rewrite")
+                            self.fanned.add(flit.pid)
+                        hdr[flit.pid] = flit.header
                 self.buf_len[cid] = len(vc.buffer)
         # ---- candidate masks
         self.route_cand[:] = False
@@ -231,6 +288,7 @@ class SoAKernel:
         # ---- connections (dict insertion order becomes the order stamp)
         self.fc_alive[:] = False
         self.fc_cout[:] = -1
+        self.n_multi = 0
         self.ic_alive[:] = False
         for p in range(len(self.ic_packet)):
             self.ic_packet[p] = None
@@ -246,29 +304,80 @@ class SoAKernel:
                 self.ic_order[p] = idx
                 self.ic_started[p] = conn.started_at
                 self.ic_packet[p] = inf.packet
-                self.hdr_by_pid.setdefault(conn.pid, inf.packet.header)
+                hdr.setdefault(conn.pid, inf.packet.header)
             else:
                 cid = conn.cin[0]
                 self.fc_alive[cid] = True
                 self.fc_pid[cid] = conn.pid
-                self.fc_cout[cid] = conn.couts[0][0] if conn.couts else -1
+                self._set_outputs(cid, conn.pid, conn.couts)
                 self.fc_order[cid] = idx
                 self.fc_started[cid] = conn.started_at
         self.order_counter = len(eng.connections)
         self.nconns = len(eng.connections)
-        # ---- pending requests
-        self.pending = [
-            _PendRec(r.pid, r.cin[0], r.wanted, r.decision, r.arrived_at)
-            for r in eng.pending
-        ]
-        self.any_count = sum(
-            1 for r in self.pending if r.decision.policy == "any"
-        )
+        # ---- pending requests and S-XB FIFOs (empty queues keep their
+        # place: the engine iterates the dict in first-insertion order)
+        self.pending = [self._rec(r) for r in eng.pending]
+        self.any_count = 0
+        self.nonsingle = 0
+        for r in self.pending:
+            if r.decision.policy == "any":
+                self.any_count += 1
+            elif len(r.wanted) != 1:
+                self.nonsingle += 1
+        self.serial = {
+            el: deque(self._rec(r) for r in q)
+            for el, q in eng.serial_queues.items()
+        }
+        self.serial_active = {el for el, q in self.serial.items() if q}
+        self.el_blocked[:] = False
+        for el in self.serial_active:
+            self.el_blocked[self.el_index[el]] = True
         self.busy_delta[:] = 0
         self.flit_moves = eng.flit_moves
         self.last_progress = eng._last_progress
         self.fallback_reason = None
         return True
+
+    def _set_outputs(self, cid: int, pid: int, couts) -> None:
+        """Record a fabric connection's outputs (VCKey tuple) on ``cid``."""
+        n = len(couts)
+        if n == 1:
+            self.fc_cout[cid] = couts[0][0]
+        elif n == 0:
+            self.fc_cout[cid] = -1
+        else:
+            self.fc_cout[cid] = _MULTI
+            width = self.fc_outs.shape[1]
+            if n > width:
+                wider = np.full((self.V, n), -1, dtype=np.int64)
+                wider[:, :width] = self.fc_outs
+                self.fc_outs = wider
+            row = self.fc_outs[cid]
+            row[:] = -1
+            row[:n] = [k[0] for k in couts]
+            self.n_multi += 1
+            self.fanned.add(pid)
+
+    def _outputs(self, cid: int) -> Tuple:
+        """The VCKey tuple of the fabric connection on ``cid``."""
+        cout = int(self.fc_cout[cid])
+        if cout >= 0:
+            return ((cout, 0),)
+        if cout == -1:
+            return ()
+        row = self.fc_outs[cid]
+        return tuple((int(o), 0) for o in row[row >= 0].tolist())
+
+    def _request(self, r: _PendRec) -> PendingRequest:
+        return PendingRequest(
+            pid=r.pid,
+            element=self.el_of[r.cin],
+            cin=(r.cin, 0),
+            decision=r.decision,
+            wanted=r.wanted,
+            reserved={(c, 0) for c in r.reserved},
+            arrived_at=r.arrived,
+        )
 
     def sync_out(self) -> None:
         """Write the array state back into the engine's object state,
@@ -299,7 +408,6 @@ class SoAKernel:
                 )
         conns = []
         for cid in np.nonzero(self.fc_alive)[0].tolist():
-            cout = int(self.fc_cout[cid])
             conns.append(
                 (
                     int(self.fc_order[cid]),
@@ -307,7 +415,7 @@ class SoAKernel:
                         pid=int(self.fc_pid[cid]),
                         element=self.el_of[cid],
                         cin=(cid, 0),
-                        couts=() if cout < 0 else ((cout, 0),),
+                        couts=self._outputs(cid),
                         started_at=int(self.fc_started[cid]),
                     ),
                 )
@@ -341,18 +449,15 @@ class SoAKernel:
         eng.connections.clear()
         for _, conn in sorted(conns, key=lambda t: t[0]):
             eng.connections[(conn.element, conn.cin)] = conn
-        eng.pending = [
-            PendingRequest(
-                pid=r.pid,
-                element=self.el_of[r.cin],
-                cin=(r.cin, 0),
-                decision=r.decision,
-                wanted=r.wanted,
-                arrived_at=r.arrived,
-            )
-            for r in self.pending
-        ]
+        eng.pending = [self._request(r) for r in self.pending]
+        eng.serial_queues.clear()
+        for el, q in self.serial.items():
+            eng.serial_queues[el] = deque(self._request(r) for r in q)
+        eng._serial_active.clear()
+        eng._serial_active.update(self.serial_active)
         eng._pending_by_cin = {r.cin for r in eng.pending}
+        for q in eng.serial_queues.values():
+            eng._pending_by_cin.update(r.cin for r in q)
         eng._route_candidates = {
             (int(c), 0) for c in np.nonzero(self.route_cand)[0]
         }
@@ -416,6 +521,7 @@ class SoAKernel:
             eng.in_flight
             or self.nconns
             or self.pending
+            or self.serial_active
             or eng._nonempty_sources
         ):
             return False
@@ -459,7 +565,10 @@ class SoAKernel:
                     inf.packet.delivered_at = eng.cycle
                     eng.delivered.append(inf.packet)
                     del in_flight[pid]
-                    self.hdr_by_pid.pop(pid, None)
+                    if inf.expected_deliveries == 1:
+                        # a multicast's other copies (a sink's, say) may
+                        # still be in flight and need the header
+                        self.hdr_by_pid.pop(pid, None)
         self.buf_len[e] = 0
 
     def phase_route(self) -> Optional[str]:
@@ -524,7 +633,9 @@ class SoAKernel:
                     recs[i] = _PendRec(pids_l[i], cand_l[i], wanted, d, cycle)
                 rest = np.nonzero(~closed)[0].tolist()
         drops: List[int] = []
+        serial: List[int] = []
         new_any = 0
+        new_nonsingle = 0
         if rest:
             # residual path: every other header goes through the adapter
             el_of = self.el_of
@@ -540,19 +651,15 @@ class SoAKernel:
             except RoutingError:
                 # decisions are pure: the scalar route phase will hit the
                 # same error and run the unroutable-packet kill path
-                return "unroutable packet (online reconfiguration)"
+                return "unroutable packet"
             memo = eng._wanted_memo
+            fanned = self.fanned
             for i, d in zip(rest, decisions):
                 if d.drop:
                     drops.append(i)
                     continue
-                if d.serialize:
-                    return "serialized (S-XB) decision"
-                if d.policy != "any":
-                    if len(d.outputs) != 1:
-                        return "multicast decision"
-                elif not d.outputs:
-                    return "adaptive decision with no outputs"
+                if d.rc != hdrs[i].rc and pids_l[i] in fanned:
+                    return "per-copy header rewrite"
                 el = el_of[cand_l[i]]
                 wkey = (el, d.outputs)
                 wanted = memo.get(wkey)
@@ -563,8 +670,12 @@ class SoAKernel:
                     )
                     memo[wkey] = wanted
                 recs[i] = _PendRec(pids_l[i], cand_l[i], wanted, d, cycle)
-                if d.policy == "any":
+                if d.serialize:
+                    serial.append(i)
+                elif d.policy == "any":
                     new_any += 1
+                elif len(wanted) != 1:
+                    new_nonsingle += 1
         for i in drops:
             cid = cand_l[i]
             pid = pids_l[i]
@@ -579,70 +690,153 @@ class SoAKernel:
             if inf is not None:
                 inf.dropped = True
         self.route_cand[cand] = False
+        for i in serial:
+            rec = recs[i]
+            recs[i] = None
+            el = self.el_of[rec.cin]
+            self.serial.setdefault(el, deque()).append(rec)
+            self.serial_active.add(el)
+            self.el_blocked[self.el_index[el]] = True
         if drops:
             kept = np.ones(n, dtype=bool)
             kept[drops] = False
+            cand = cand[kept]
+        if drops or serial:
             self.pending.extend(r for r in recs if r is not None)
-            self.pend_cin[cand[kept]] = True
         else:
             self.pending.extend(recs)
-            self.pend_cin[cand] = True
+        self.pend_cin[cand] = True
         self.any_count += new_any
+        self.nonsingle += new_nonsingle
         return None
 
     def phase_grant(self) -> None:
+        if self.serial_active:
+            self._grant_serial()
         pend = self.pending
         if not pend:
             return
-        if self.any_count == 0:
-            # every request is single-output "all": the sequential scan
-            # grants each free output to its first requester in arrival
-            # order, which is exactly the first-occurrence reduction
-            outs = np.fromiter(
-                (r.wanted[0][0] for r in pend), dtype=np.int64, count=len(pend)
-            )
-            free = self.owner[outs] == -1
-            if not free.any():
-                return
-            idx_free = np.nonzero(free)[0]
-            _, first = np.unique(outs[idx_free], return_index=True)
-            win = idx_free[first]
-            win.sort()  # establishment (and fc_order) in arrival order
-            wl = win.tolist()
-            wrecs = [pend[i] for i in wl]
-            n = len(wrecs)
-            cins = np.fromiter((r.cin for r in wrecs), np.int64, count=n)
-            pids = np.fromiter((r.pid for r in wrecs), np.int64, count=n)
-            wouts = outs[win]
-            self.owner[wouts] = pids
-            self.fc_alive[cins] = True
-            self.fc_pid[cins] = pids
-            self.fc_cout[cins] = wouts
-            self.fc_order[cins] = self.order_counter + np.arange(n)
-            self.order_counter += n
-            self.fc_started[cins] = self.eng.cycle
-            self.pend_cin[cins] = False
-            self.nconns += n
-            self.last_progress = self.eng.cycle
-            hdrs = self.hdr_by_pid
-            for r in wrecs:
-                h = hdrs[r.pid]
-                rc = r.decision.rc
-                if h.rc != rc:
-                    # the switch rewrites the RC bit as the header passes
-                    hdrs[r.pid] = h.with_rc(rc)
-            if n == len(pend):
-                self.pending = []
-            else:
-                wset = set(wl)
-                self.pending = [
-                    r for i, r in enumerate(pend) if i not in wset
-                ]
+        if self.any_count:
+            self._grant_sequential()
             return
-        # adaptive requests present: exact scalar sequential grant
+        if self.nonsingle or self.serial_active:
+            self._grant_reduce()
+            return
+        # every request is single-output "all" and no S-XB blocks: the
+        # sequential scan grants each free output to its first requester
+        # in arrival order, which is exactly the first-occurrence reduction
+        outs = np.fromiter(
+            (r.wanted[0][0] for r in pend), dtype=np.int64, count=len(pend)
+        )
+        free = self.owner[outs] == -1
+        if not free.any():
+            return
+        idx_free = np.nonzero(free)[0]
+        _, first = np.unique(outs[idx_free], return_index=True)
+        win = idx_free[first]
+        win.sort()  # establishment (and fc_order) in arrival order
+        wl = win.tolist()
+        self._connect_singles([pend[i] for i in wl], outs[win])
+        if len(wl) == len(pend):
+            self.pending = []
+        else:
+            wset = set(wl)
+            self.pending = [r for i, r in enumerate(pend) if i not in wset]
+
+    def _grant_serial(self) -> None:
+        """S-XB FIFOs: each queue's head is granted atomically, in queue
+        first-insertion order, once every output it wants is free."""
         owner = self.owner
+        for el, queue in self.serial.items():
+            if not queue:
+                continue
+            rec = queue[0]
+            outs = [k[0] for k in rec.wanted]
+            if outs and (owner[outs] != -1).any():
+                continue
+            queue.popleft()
+            if not queue:
+                self.serial_active.discard(el)
+                self.el_blocked[self.el_index[el]] = False
+            owner[outs] = rec.pid
+            self._connect(rec, self.order_counter)
+            self.order_counter += 1
+
+    def _grant_reduce(self) -> None:
+        """Progressive grant of ``"all"`` requests as one first-occurrence
+        reduction over (request, output) pairs: each free output goes to
+        the first unblocked request that wants it; a request connects
+        once it holds every output, and a multicast keeps what it got."""
+        pend = self.pending
+        n = len(pend)
+        counts = np.fromiter(
+            (len(r.wanted) for r in pend), dtype=np.int64, count=n
+        )
+        total = int(counts.sum())
+        outs = np.fromiter(
+            (k[0] for r in pend for k in r.wanted), dtype=np.int64, count=total
+        )
+        rq = np.repeat(np.arange(n), counts)
+        ok = np.ones(n, dtype=bool)
+        if self.serial_active:
+            cins = np.fromiter((r.cin for r in pend), np.int64, count=n)
+            ok = ~self.el_blocked[self.el_idx[cins]]
+        held = np.zeros(total, dtype=bool)
+        multi = np.nonzero(counts > 1)[0]
+        starts = np.cumsum(counts) - counts
+        for j in multi.tolist():
+            res = pend[j].reserved
+            if res:
+                s = int(starts[j])
+                for t, k in enumerate(pend[j].wanted):
+                    if k[0] in res:
+                        held[s + t] = True
+        cand = np.nonzero(ok[rq] & (self.owner[outs] == -1))[0]
+        if cand.size:
+            _, first = np.unique(outs[cand], return_index=True)
+            won = cand[first]
+            pids = np.fromiter((r.pid for r in pend), np.int64, count=n)
+            self.owner[outs[won]] = pids[rq[won]]
+            held[won] = True
+        got = np.bincount(rq[held], minlength=n)
+        complete = ok & (got == counts)
+        if cand.size and multi.size:
+            # partial reservations persist on the incomplete multicasts
+            part = won[(counts[rq[won]] > 1) & ~complete[rq[won]]]
+            for p in part.tolist():
+                r = pend[int(rq[p])]
+                if not r.reserved:
+                    r.reserved = set()
+                r.reserved.add(int(outs[p]))
+        done = np.nonzero(complete)[0]
+        if done.size == 0:
+            return
+        # connect in arrival order: the order stamps follow ``done``
+        single = counts[done] == 1
+        base = self.order_counter
+        sd = done[single]
+        if sd.size:
+            self._connect_singles(
+                [pend[i] for i in sd.tolist()],
+                outs[starts[sd]],
+                base + np.nonzero(single)[0],
+            )
+        for pos in np.nonzero(~single)[0].tolist():
+            self._connect(pend[int(done[pos])], base + pos)
+            self.nonsingle -= 1
+        self.order_counter = base + done.size
+        self.pending = list(compress(pend, (~complete).tolist()))
+
+    def _grant_sequential(self) -> None:
+        """Exact scalar grant, for cycles with adaptive requests."""
+        owner = self.owner
+        blocked = self.serial_active
+        el_of = self.el_of
         remaining = []
-        for rec in pend:
+        for rec in self.pending:
+            if blocked and el_of[rec.cin] in blocked:
+                remaining.append(rec)
+                continue
             if rec.decision.policy == "any":
                 chosen = next(
                     (k[0] for k in rec.wanted if owner[k[0]] == -1), None
@@ -650,19 +844,61 @@ class SoAKernel:
                 if chosen is None:
                     remaining.append(rec)
                     continue
+                owner[chosen] = rec.pid
                 rec.wanted = ((chosen, 0),)
                 self.any_count -= 1
-                self._establish(rec, chosen)
             else:
-                out = rec.wanted[0][0]
-                if owner[out] == -1:
-                    self._establish(rec, out)
-                else:
+                complete = True
+                multi = len(rec.wanted) > 1
+                for k in rec.wanted:
+                    o = k[0]
+                    if multi and o in rec.reserved:
+                        continue
+                    if owner[o] == -1:
+                        owner[o] = rec.pid
+                        if multi:
+                            if not rec.reserved:
+                                rec.reserved = set()
+                            rec.reserved.add(o)
+                    else:
+                        complete = False
+                if not complete:
                     remaining.append(rec)
+                    continue
+                if len(rec.wanted) != 1:
+                    self.nonsingle -= 1
+            self._connect(rec, self.order_counter)
+            self.order_counter += 1
         self.pending = remaining
 
-    def _establish(self, rec: _PendRec, out: int) -> None:
-        self.owner[out] = rec.pid
+    def _connect_singles(self, recs, outs, orders=None) -> None:
+        """Establish single-output requests whose outputs are granted, in
+        list order (``orders`` defaults to the next order stamps)."""
+        n = len(recs)
+        cins = np.fromiter((r.cin for r in recs), np.int64, count=n)
+        pids = np.fromiter((r.pid for r in recs), np.int64, count=n)
+        if orders is None:
+            orders = self.order_counter + np.arange(n)
+            self.order_counter += n
+        self.owner[outs] = pids
+        self.fc_alive[cins] = True
+        self.fc_pid[cins] = pids
+        self.fc_cout[cins] = outs
+        self.fc_order[cins] = orders
+        self.fc_started[cins] = self.eng.cycle
+        self.pend_cin[cins] = False
+        self.nconns += n
+        self.last_progress = self.eng.cycle
+        hdrs = self.hdr_by_pid
+        for r in recs:
+            h = hdrs[r.pid]
+            rc = r.decision.rc
+            if h.rc != rc:
+                # the switch rewrites the RC bit as the header passes
+                hdrs[r.pid] = h.with_rc(rc)
+
+    def _connect(self, rec: _PendRec, order: int) -> None:
+        """Establish one request whose outputs it already owns."""
         hdr = self.hdr_by_pid[rec.pid]
         if hdr.rc != rec.decision.rc:
             # the switch rewrites the RC bit as the header passes
@@ -670,9 +906,8 @@ class SoAKernel:
         cin = rec.cin
         self.fc_alive[cin] = True
         self.fc_pid[cin] = rec.pid
-        self.fc_cout[cin] = out
-        self.fc_order[cin] = self.order_counter
-        self.order_counter += 1
+        self._set_outputs(cin, rec.pid, rec.wanted)
+        self.fc_order[cin] = order
         self.fc_started[cin] = self.eng.cycle
         self.nconns += 1
         self.pend_cin[cin] = False
@@ -689,9 +924,22 @@ class SoAKernel:
         fhead_pid = self.buf_pid[f, self.buf_start[f]]
         fsrc_ok = (fl > 0) & (fhead_pid == self.fc_pid[f])
         fdst = self.fc_cout[f]
-        fdrop = fdst < 0
-        fdst_safe = np.where(fdrop, 0, fdst)
-        fdst_ok = fdrop | (buf_len[fdst_safe] < cap)
+        fone = fdst >= 0
+        fdst_safe = np.where(fone, fdst, 0)
+        fdst_ok = ~fone | (buf_len[fdst_safe] < cap)
+        fdst_pot = (~fdst_ok) & self.fc_alive[fdst_safe]
+        if self.n_multi:
+            # lockstep copy: a multicast moves only when every output
+            # has space, and may still move if each full one is drained
+            # by an earlier connection
+            mrow = np.nonzero(fdst == _MULTI)[0]
+            mouts = self.fc_outs[f[mrow]]
+            valid = mouts >= 0
+            msafe = np.where(valid, mouts, 0)
+            space = ~valid | (buf_len[msafe] < cap)
+            mok = space.all(axis=1)
+            fdst_ok[mrow] = mok
+            fdst_pot[mrow] = ~mok & (space | self.fc_alive[msafe]).all(axis=1)
         fm0 = fsrc_ok & fdst_ok
         idst = self.ic_cout[i]
         im0 = buf_len[idst] < cap
@@ -699,35 +947,42 @@ class SoAKernel:
         # earlier-in-order mover draining their destination (or supplying
         # their empty source), matching the scalar dict-order scan
         fsrc_pot = (~fsrc_ok) & (fl == 0)
-        fdst_pot = (~fdst_ok) & self.fc_alive[fdst_safe] & ~fdrop
         fcond = (~fm0) & (fsrc_ok | fsrc_pot) & (fdst_ok | fdst_pot)
         icond = (~im0) & self.fc_alive[idst]
-        extras: List[Tuple[int, str, int]] = []
+        waves: List[Tuple[list, list]] = []
         if fcond.any() or icond.any():
-            extras = self._resolve_conditional(
-                f, fm0, fcond, i, im0, icond
-            )
+            waves = self._resolve_conditional(f, fm0, fcond, i, im0, icond)
         moved = False
+        drops: List[np.ndarray] = []
         fm = f[fm0]
         if fm.size:
             moved = True
-            self._apply_fabric(fm)
+            drops.append(self._apply_fabric(fm))
         im = i[im0]
         if im.size:
             moved = True
             self._apply_injection(im)
-        for _, kind, idx in extras:
+        for wf, wi in waves:
             moved = True
-            if kind == "f":
-                self._apply_fabric(np.array([idx], dtype=np.int64))
-            else:
-                self._apply_injection(np.array([idx], dtype=np.int64))
+            if wf:
+                drops.append(self._apply_fabric(np.array(wf, dtype=np.int64)))
+            if wi:
+                self._apply_injection(np.array(wi, dtype=np.int64))
         if moved:
             self.last_progress = self.eng.cycle
+        drops = [d for d in drops if d.size]
+        if drops:
+            self._finish_drops(np.concatenate(drops))
 
     def _resolve_conditional(self, f, fm0, fcond, i, im0, icond):
         """Decide the order-dependent movers with one ascending pass (an
-        enabler always has a strictly smaller connection order)."""
+        enabler always has a strictly smaller connection order).
+
+        Returns them as waves of (fabric cids, injection slots): a mover
+        lands one wave after the latest conditional mover it depends on
+        (the vectorized movers are wave 0), so applying the waves in turn,
+        each as one batch, pops and pushes every buffer in the order the
+        sequential scan does."""
         V = self.V
         filler_ord = np.full(V, -1, dtype=np.int64)
         filler_isf = np.zeros(V, dtype=bool)
@@ -737,6 +992,14 @@ class SoAKernel:
         filler_ord[self.fc_cout[fnz]] = self.fc_order[fnz]
         filler_isf[self.fc_cout[fnz]] = True
         filler_id[self.fc_cout[fnz]] = fnz
+        if self.n_multi:
+            fmu = f[fout == _MULTI]
+            mouts = self.fc_outs[fmu]
+            r, c = np.nonzero(mouts >= 0)
+            filled = mouts[r, c]
+            filler_ord[filled] = self.fc_order[fmu][r]
+            filler_isf[filled] = True
+            filler_id[filled] = fmu[r]
         filler_ord[self.ic_cout[i]] = self.ic_order[i]
         filler_id[self.ic_cout[i]] = i
         moved_f = np.zeros(V, dtype=bool)
@@ -752,8 +1015,27 @@ class SoAKernel:
         cands.sort()
         cap = self.cap
         buf_len = self.buf_len
-        extras = []
+        fc_alive = self.fc_alive
+        fc_order = self.fc_order
+        # wave of each conditional mover; vectorized movers are wave 0
+        wave_f: Dict[int, int] = {}
+        wave_i: Dict[int, int] = {}
+        waves: List[Tuple[list, list]] = []
+
+        def drained(outs, order_c, w):
+            # wave the outputs are all writable from, or -1: a full output
+            # needs an earlier connection that drained it
+            for d in outs:
+                if buf_len[d] < cap:
+                    continue
+                if fc_alive[d] and fc_order[d] < order_c and moved_f[d]:
+                    w = max(w, wave_f.get(d, 0))
+                    continue
+                return -1
+            return w
+
         for order_c, kind, idx in cands:
+            w = 0
             if kind == "f":
                 cid = idx
                 src_ok = buf_len[cid] > 0 and (
@@ -764,33 +1046,46 @@ class SoAKernel:
                     fo = filler_ord[cid]
                     if 0 <= fo < order_c:
                         fid = int(filler_id[cid])
-                        src_ok = (
-                            moved_f[fid]
-                            if filler_isf[cid]
-                            else moved_i[fid]
-                        )
+                        if filler_isf[cid]:
+                            src_ok = moved_f[fid]
+                            w = wave_f.get(fid, 0)
+                        else:
+                            src_ok = moved_i[fid]
+                            w = wave_i.get(fid, 0)
+                if not src_ok:
+                    continue
                 d = int(self.fc_cout[cid])
-                dst_ok = d < 0 or buf_len[d] < cap
-                if not dst_ok and self.fc_alive[d]:
-                    dst_ok = self.fc_order[d] < order_c and moved_f[d]
-                if src_ok and dst_ok:
-                    moved_f[cid] = True
-                    extras.append((order_c, kind, cid))
+                if d >= 0:
+                    outs = (d,)
+                elif d == -1:
+                    outs = ()
+                else:
+                    row = self.fc_outs[cid]
+                    outs = row[row >= 0].tolist()
+                w = drained(outs, order_c, w)
+                if w < 0:
+                    continue
+                moved_f[cid] = True
+                wave_f[cid] = w + 1
             else:
                 p = idx
-                d = int(self.ic_cout[p])
-                dst_ok = buf_len[d] < cap
-                if not dst_ok and self.fc_alive[d]:
-                    dst_ok = self.fc_order[d] < order_c and moved_f[d]
-                if dst_ok:
-                    moved_i[p] = True
-                    extras.append((order_c, kind, p))
-        return extras
+                w = drained((int(self.ic_cout[p]),), order_c, 0)
+                if w < 0:
+                    continue
+                moved_i[p] = True
+                wave_i[p] = w + 1
+            if w == len(waves):
+                waves.append(([], []))
+            waves[w][0 if kind == "f" else 1].append(idx)
+        return waves
 
-    def _apply_fabric(self, fm) -> None:
+    def _apply_fabric(self, fm) -> np.ndarray:
         """Move one flit through each fabric connection in ``fm`` (pops
         before pushes, so a buffer popped and refilled in the same cycle
-        lands its newcomer behind the survivors)."""
+        lands its newcomer behind the survivors).  A multicast pushes one
+        copy per output; each copy counts toward its channel's busy
+        cycles, but the move counts once.  Returns the connections with no
+        outputs that finished (see :meth:`_finish_drops`)."""
         cap = self.cap
         s = self.buf_start[fm]
         v_pid = self.buf_pid[fm, s]
@@ -799,16 +1094,23 @@ class SoAKernel:
         self.buf_start[fm] = (s + 1) % cap
         self.buf_len[fm] -= 1
         d = self.fc_cout[fm]
-        push = d >= 0
-        dp = d[push]
+        src = np.nonzero(d >= 0)[0]
+        dp = d[src]
+        if self.n_multi:
+            mi = np.nonzero(d == _MULTI)[0]
+            if mi.size:
+                mouts = self.fc_outs[fm[mi]]
+                r, c = np.nonzero(mouts >= 0)
+                src = np.concatenate([src, mi[r]])
+                dp = np.concatenate([dp, mouts[r, c]])
         if dp.size:
             slot = (self.buf_start[dp] + self.buf_len[dp]) % cap
-            self.buf_pid[dp, slot] = v_pid[push]
-            self.buf_kind[dp, slot] = v_kind[push]
-            self.buf_seq[dp, slot] = v_seq[push]
+            kp = v_kind[src]
+            self.buf_pid[dp, slot] = v_pid[src]
+            self.buf_kind[dp, slot] = kp
+            self.buf_seq[dp, slot] = v_seq[src]
             self.buf_len[dp] += 1
             self.busy_delta[dp] += 1
-            kp = v_kind[push]
             headish = (kp == _HEAD) | (kp == _HEAD_TAIL)
             self.route_cand[dp[headish]] = True
             self.eject_pend[dp[self.is_pe[dp]]] = True
@@ -816,27 +1118,31 @@ class SoAKernel:
         td = fm[tailish]
         if td.size:
             douts = self.fc_cout[td]
-            rel = douts[douts >= 0]
-            self.owner[rel] = -1
+            self.owner[douts[douts >= 0]] = -1
+            tm = td[douts == _MULTI]
+            if tm.size:
+                mouts = self.fc_outs[tm]
+                self.owner[mouts[mouts >= 0]] = -1
+                self.n_multi -= int(tm.size)
             self.fc_alive[td] = False
             self.nconns -= int(td.size)
             nonempty = self.buf_len[td] > 0
             self.route_cand[td[nonempty]] = True
-            drops = td[douts < 0]
-            if drops.size:
-                in_flight = self.eng.in_flight
-                for cid in drops[
-                    np.argsort(self.fc_order[drops], kind="stable")
-                ].tolist():
-                    pid = int(self.fc_pid[cid])
-                    inf = in_flight.get(pid)
-                    if inf is not None:
-                        if not inf.dropped:
-                            continue  # a sink swallowed only this copy
-                        del in_flight[pid]
-                        self.eng.dropped.append(inf.packet)
-                    self.hdr_by_pid.pop(pid, None)
         self.flit_moves += int(fm.size)
+        return td[douts == -1] if td.size else td
+
+    def _finish_drops(self, drops) -> None:
+        """Account the packets whose tail left through a connection with
+        no outputs this cycle, in connection order as the scalar scan
+        does: a drop loses the packet, a sink just that copy."""
+        in_flight = self.eng.in_flight
+        for cid in drops[np.argsort(self.fc_order[drops], kind="stable")].tolist():
+            pid = int(self.fc_pid[cid])
+            inf = in_flight.get(pid)
+            if inf is not None and inf.dropped:
+                del in_flight[pid]
+                self.eng.dropped.append(inf.packet)
+                self.hdr_by_pid.pop(pid, None)
 
     def _apply_injection(self, im) -> None:
         cap = self.cap

@@ -26,6 +26,24 @@ class TestInjectFault:
         res = sim.run()
         assert len(res.delivered) == 1
 
+    def test_send_from_killed_router_rejected(self, topo43):
+        """The dead-source check reads the live set the fault event
+        refreshed, not a stale one."""
+        sim = make_sim(topo43)
+        sim.send(Packet(Header(source=(2, 0), dest=(0, 0)), length=2))
+        sim.run()
+        sim.inject_fault(Fault.router((2, 0)))
+        with pytest.raises(ValueError, match="disconnected"):
+            sim.send(Packet(Header(source=(2, 0), dest=(0, 0)), length=2))
+        # a deferred send is checked when it comes due
+        sim.send(
+            Packet(Header(source=(2, 0), dest=(0, 0)), length=2),
+            at_cycle=sim.cycle + 5,
+        )
+        with pytest.raises(ValueError, match="disconnected"):
+            sim.run()
+        sim.send(Packet(Header(source=(1, 0), dest=(0, 0)), length=2))
+
     def test_in_transit_packet_through_fault_lost(self, topo43):
         sim = make_sim(topo43)
         pkt = Packet(Header(source=(0, 0), dest=(2, 2)), length=32)

@@ -6,10 +6,13 @@ driver (:mod:`repro.sim.soa`); these tests pin its contract -- the same
 scan on every workload, whether the kernel ran the cycles itself or
 handed them back to the scalar path mid-run.  A property-based sweep
 (hypothesis) draws random small grids, fault sets, traffic patterns and
-seeds; directed cases cover each fallback reason and the mid-run
-reconfiguration handoff.
+seeds; directed cases cover each remaining fallback reason, the
+in-kernel S-XB / multicast / sink paths, chunked runs that hand
+mid-flight S-XB queues and partial reservations across
+``sync_out``/``materialize``, and the mid-run reconfiguration handoff.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -18,12 +21,15 @@ from hypothesis import given, settings, strategies as st
 import repro.core.packet as packet_mod
 from repro.core import Fault, Header, Packet, RC
 from repro.core.config import DetourScheme
+from repro.core.switch_logic import RoutingError
+from repro.routing import get_scheme, make_scheme, scheme_names
 from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
 from repro.topology import MDCrossbar
 from repro.traffic import BernoulliInjector, uniform
 from tests.conftest import make_logic
 
 DRIVERS = ("soa", "active", "legacy")
+UNROUTABLE = "unroutable packet"
 
 
 def reset_pids():
@@ -157,13 +163,22 @@ def test_fuzzed_three_way_parity(scenario):
         return 3000
 
     try:
-        run_three(workload, shape, recovery=recovery, **logic_kw)
+        sim, _ = run_three(workload, shape, recovery=recovery, **logic_kw)
     except ValueError:
         # an infeasible fault configuration is rejected while building
         # the switch logic, before any driver is involved -- every
         # driver sees the identical rejection, so there is no parity
         # left to check
-        pass
+        return
+    # S-XB broadcasts, naive broadcasts, sinks, drops and recovery all
+    # run in-kernel; the one fallback this fuzz can reach is a
+    # BROADCAST injected while the facility serializes broadcasts,
+    # which the switch logic rejects as unroutable
+    if sim.engine_fallback is not None:
+        assert sim.engine_fallback == UNROUTABLE
+        assert any(rc is RC.BROADCAST for _, _, rc, _, _ in sends)
+    else:
+        assert sim.engine_used == "soa"
 
 
 # ----------------------------------------------------- directed cases
@@ -182,7 +197,9 @@ def test_pure_p2p_runs_in_kernel():
     assert info["hits"] == info["misses"] == 0
 
 
-def test_broadcast_falls_back_with_reason():
+def test_naive_broadcast_runs_in_kernel():
+    """Naive broadcast: multicast decisions with progressive reservation,
+    no S-XB -- connections fan out in lockstep inside the kernel."""
     from repro.core.config import BroadcastMode
 
     def workload(sim):
@@ -193,14 +210,15 @@ def test_broadcast_falls_back_with_reason():
         )
         return 2000
 
-    sim, _ = run_three(
+    sim, res = run_three(
         workload, (4, 3), broadcast_mode=BroadcastMode.NAIVE
     )
-    assert sim.engine_used == "active"
-    assert sim.engine_fallback == "multicast decision"
+    assert sim.engine_used == "soa"
+    assert sim.engine_fallback is None
+    assert len(res.delivered) == 1 and not res.deadlocked
 
 
-def test_serialized_broadcast_falls_back():
+def test_serialized_broadcast_runs_in_kernel():
     def workload(sim):
         sim.send(
             Packet(
@@ -212,9 +230,203 @@ def test_serialized_broadcast_falls_back():
         )
         return 2000
 
-    sim, _ = run_three(workload, (4, 3))
+    sim, res = run_three(workload, (4, 3))
+    assert sim.engine_used == "soa"
+    assert sim.engine_fallback is None
+    assert len(res.delivered) == 1 and not res.deadlocked
+
+
+def test_broadcast_sink_runs_in_kernel():
+    """The extent-2 sink of ``TestBroadcastSink``: a copy entering a
+    crossbar whose only other router is dead gets a decision with no
+    outputs; the kernel swallows the copy without dropping the packet."""
+
+    def workload(sim):
+        for src in ((0, 0, 0), (1, 2, 0), (3, 3, 1)):
+            sim.send(
+                Packet(
+                    Header(source=src, dest=src, rc=RC.BROADCAST_REQUEST),
+                    length=4,
+                )
+            )
+        return 5000
+
+    sim, res = run_three(workload, (4, 4, 2), fault=Fault.router((1, 2, 1)))
+    assert sim.engine_used == "soa"
+    assert sim.engine_fallback is None
+    assert not res.deadlocked and res.dropped == []
+    assert len(res.delivered) == 3
+
+
+def test_naive_broadcast_deadlock_report_matches():
+    """Fig. 5: two naive broadcasts each hold part of the other's
+    multicast reservation.  The kernel reaches the deadlock itself and
+    the report built from its synced-out partial reservations equals
+    the scalar drivers'."""
+    from repro.core.config import BroadcastMode
+
+    reports = {}
+    for driver in DRIVERS:
+        reset_pids()
+        sim = build(driver, (4, 3), broadcast_mode=BroadcastMode.NAIVE)
+        for src in [(2, 1), (3, 2)]:
+            sim.send(
+                Packet(Header(source=src, dest=src, rc=RC.BROADCAST), length=6)
+            )
+        res = sim.run(max_cycles=5000)
+        assert res.deadlocked
+        if driver == "soa":
+            assert sim.engine_used == "soa"
+            assert any(r.reserved for r in sim.pending)
+        reports[driver] = (
+            res.deadlock.cycle,
+            res.deadlock.cycle_pids,
+            res.deadlock.waits,
+            res.deadlock.blocked_pids,
+        )
+    assert reports["soa"] == reports["active"] == reports["legacy"]
+
+
+def test_chunked_broadcast_run_matches_one_active_run():
+    """Broadcasts + unicast around a dead router, run under the kernel in
+    ``max_cycles=k`` slices: every slice boundary syncs the fabric out
+    and back in, crossing mid-flight S-XB queues and partial multicast
+    reservations, and the end result equals one uninterrupted run."""
+
+    def workload(sim):
+        for k, src in enumerate([(0, 0), (3, 3), (1, 2), (2, 3), (0, 3)]):
+            sim.send(
+                Packet(
+                    Header(source=src, dest=src, rc=RC.BROADCAST_REQUEST),
+                    length=5,
+                ),
+                at_cycle=k,
+            )
+        sim.add_generator(
+            BernoulliInjector(load=0.5, pattern=uniform, seed=3, stop_at=80)
+        )
+
+    reset_pids()
+    ref_sim = build("active", (4, 4), fault=Fault.router((1, 1)))
+    workload(ref_sim)
+    ref = ref_sim.run(max_cycles=400, until_drained=False).fingerprint()
+    saw_queue = saw_partial = False
+    for k in (1, 2, 3, 7):
+        reset_pids()
+        sim = build("soa", (4, 4), fault=Fault.router((1, 1)))
+        workload(sim)
+        while sim.cycle < 400:
+            res = sim.run(max_cycles=min(k, 400 - sim.cycle), until_drained=False)
+            assert sim.engine_used == "soa", sim.engine_fallback
+            saw_queue |= any(sim.serial_queues.values())
+            saw_partial |= any(r.reserved for r in sim.pending)
+        assert res.fingerprint() == ref, k
+    assert saw_queue and saw_partial
+
+
+def test_unroutable_packet_falls_back():
+    """A BROADCAST injected while the facility serializes broadcasts has
+    no route: the kernel bails before routing it and the active driver
+    runs the unroutable-packet kill path."""
+
+    def workload(sim):
+        sim.send(Packet(Header(source=(1, 1), dest=(1, 1), rc=RC.BROADCAST)))
+        sim.send(Packet(Header(source=(0, 0), dest=(3, 2)), length=4))
+        return 2000
+
+    sim, res = run_three(workload, (4, 3))
     assert sim.engine_used == "active"
-    assert sim.engine_fallback == "serialized (S-XB) decision"
+    assert sim.engine_fallback == UNROUTABLE
+    assert len(res.dropped) == 1 and len(res.delivered) == 1
+
+
+class _CopyRewritingAdapter(MDCrossbarAdapter):
+    """Naive broadcast whose copies alternate their RC bit between
+    BROADCAST (leaving routers) and BROADCAST_REQUEST (leaving
+    crossbars); routing treats both as BROADCAST.  Copies of one packet
+    then carry different headers, which one shared header entry cannot
+    represent."""
+
+    def decide(self, element, in_from, in_vc, header):
+        d = super().decide(
+            element, in_from, in_vc, header.with_rc(RC.BROADCAST)
+        )
+        rc = RC.BROADCAST if element[0] == "RTR" else RC.BROADCAST_REQUEST
+        return dataclasses.replace(d, rc=rc)
+
+    decide_batch = None
+
+
+def test_per_copy_header_rewrite_falls_back():
+    from repro.core.config import BroadcastMode
+
+    fps = {}
+    for driver in DRIVERS:
+        reset_pids()
+        logic = make_logic(
+            MDCrossbar((4, 3)), broadcast_mode=BroadcastMode.NAIVE
+        )
+        sim = NetworkSimulator(
+            _CopyRewritingAdapter(logic),
+            SimConfig(
+                engine="soa" if driver == "soa" else "active",
+                legacy_scan=driver == "legacy",
+            ),
+        )
+        sim.send(
+            Packet(Header(source=(2, 1), dest=(2, 1), rc=RC.BROADCAST), length=4)
+        )
+        res = sim.run(max_cycles=2000)
+        assert len(res.delivered) == 1
+        fps[driver] = res.fingerprint()
+        if driver == "soa":
+            assert sim.engine_fallback == "per-copy header rewrite"
+    assert fps["soa"] == fps["active"] == fps["legacy"]
+
+
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_registered_schemes_keep_one_header_per_multicast(scheme):
+    """The kernel shares one header entry between a packet's copies.
+    Every registered scheme that can broadcast at all must run a
+    broadcast + unicast mix in-kernel -- no copy ever rewrites its
+    header after the fan-out -- with three-way parity."""
+    shape = get_scheme(scheme).bench_shape
+    sch = make_scheme(scheme, shape)
+    if sch.num_vcs != 1:
+        pytest.skip("multi-VC schemes run on the scalar drivers")
+    coords = sorted(sch.topo.node_coords())
+    srcs = [coords[0], coords[-1], coords[len(coords) // 2]]
+    fps = {}
+    for driver in DRIVERS:
+        reset_pids()
+        sch = make_scheme(scheme, shape)
+        sim = NetworkSimulator(
+            sch.adapter,
+            SimConfig(
+                stall_limit=400,
+                engine="soa" if driver == "soa" else "active",
+                legacy_scan=driver == "legacy",
+            ),
+        )
+        for k, src in enumerate(srcs):
+            sim.send(
+                Packet(
+                    Header(source=src, dest=src, rc=RC.BROADCAST_REQUEST),
+                    length=4,
+                ),
+                at_cycle=k,
+            )
+            sim.send(Packet(Header(source=src, dest=coords[1]), length=4))
+        try:
+            res = sim.run(max_cycles=3000)
+        except (RoutingError, ValueError):
+            pytest.skip(f"{scheme} does not route broadcasts")
+        fps[driver] = res.fingerprint()
+        if driver == "soa":
+            if sim.engine_fallback == UNROUTABLE:
+                pytest.skip(f"{scheme} does not route broadcasts")
+            assert sim.engine_used == "soa", sim.engine_fallback
+    assert fps["soa"] == fps["active"] == fps["legacy"]
 
 
 def test_subscribed_hook_forces_scalar_path():
@@ -303,7 +515,6 @@ def test_midrun_fault_reconfiguration_parity():
 def test_adaptive_any_policy_runs_in_kernel():
     """The full-mesh scheme issues policy="any" grant requests with a
     single VC -- the kernel's sequential adaptive grant branch."""
-    from repro.routing import make_scheme
 
     results = {}
     for driver in DRIVERS:
@@ -328,7 +539,6 @@ def test_adaptive_any_policy_runs_in_kernel():
 
 
 def test_multi_vc_scheme_falls_back():
-    from repro.routing import make_scheme
 
     reset_pids()
     sch = make_scheme("torus", (4, 4))
