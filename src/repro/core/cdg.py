@@ -51,10 +51,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..topology.base import Channel, Topology
 from .config import BroadcastMode
+from .graph import find_cycle
 from .routes import (
     RouteRelation,
     RouteTree,
@@ -92,11 +91,6 @@ class CDGResult:
 
     def __bool__(self) -> bool:
         return self.deadlock_free
-
-    # backwards-friendly alias
-    @property
-    def cycle(self) -> Optional[DeadlockHazard]:
-        return self.hazard
 
 
 class _TreeInfo:
@@ -255,18 +249,11 @@ class ChannelDependencyGraph:
         )
 
     def _tier1(self) -> Optional[DeadlockHazard]:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.succ)
-        for u, vs in self.succ.items():
-            for v in vs:
-                g.add_edge(u, v)
-        try:
-            cyc = nx.find_cycle(g)
-        except nx.NetworkXNoCycle:
+        cids = find_cycle(self.succ)
+        if not cids:
             return None
-        cids = [u for u, _ in cyc]
         flows = tuple(
-            sorted({self.edge_flows[(u, v)] for u, v in cyc})
+            sorted({self.edge_flows[e] for e in zip(cids, cids[1:] + cids[:1])})
         )
         return DeadlockHazard(
             kind="path-cycle",
@@ -283,15 +270,12 @@ class ChannelDependencyGraph:
                     continue
                 for a in hits:
                     if info.state_allows(held=a, waited=w):
-                        chain = self._shortest_chain(w, {a})
-                        cids = [w] + chain
+                        # the chain starts at ``w``; the tree closes a -> w
+                        cids = self._shortest_chain(w, {a})
                         flows = tuple(
                             sorted(
                                 {info.name}
-                                | {
-                                    self.edge_flows.get((u, v), "?")
-                                    for u, v in zip(cids, cids[1:])
-                                }
+                                | {self.edge_flows[e] for e in zip(cids, cids[1:])}
                             )
                         )
                         return DeadlockHazard(
@@ -307,7 +291,7 @@ class ChannelDependencyGraph:
         # meta-graph over (tree index, held channel); an edge means "tree i
         # blocked in a state holding a can wait for w whose tier-1 closure
         # reaches a' held by tree j"
-        meta = nx.DiGraph()
+        meta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         n = len(self.trees)
         for i, ti in enumerate(self.trees):
             for a in ti.cids:
@@ -320,13 +304,11 @@ class ChannelDependencyGraph:
                             continue
                         for a2 in closure & self.trees[j].cids:
                             targets.add((j, a2))
-                for t in targets:
-                    meta.add_edge((i, a), t)
-        try:
-            cyc = nx.find_cycle(meta)
-        except (nx.NetworkXNoCycle, nx.NetworkXError):
+                if targets:
+                    meta.setdefault((i, a), []).extend(targets)
+        states = find_cycle(meta)
+        if not states:
             return None
-        states = [u for u, _ in cyc]
         chans = tuple(self.channels[a] for _, a in states)
         flows = tuple(sorted({self.trees[i].name for i, _ in states}))
         return DeadlockHazard(kind="multi-tree-cycle", channels=chans, flows=flows)

@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..topology.base import Channel
 from ..topology.mdcrossbar import MDCrossbar
 from .config import BroadcastMode
+from .graph import topo_order
 from .routes import route_all_broadcasts, route_all_unicasts
 from .switch_logic import SwitchLogic
 
@@ -95,14 +94,19 @@ def build_certificate(
             "the naive broadcast mode has no serialization argument; no "
             "ordering certificate exists (see the Fig. 5 deadlock)"
         )
-    g = nx.DiGraph()
+    # ordered, de-duplicated adjacency: nodes in first-appearance order
+    succ: Dict[int, Dict[int, None]] = {}
     atomic: Set[int] = set()
     barrier = [c.cid for c in sxb_outputs]
+
+    def add_edge(a: int, b: int) -> None:
+        succ.setdefault(a, {})[b] = None
+        succ.setdefault(b, {})
 
     def add_chain(chain: Sequence[Channel]) -> None:
         for a, b in zip(chain, chain[1:]):
             if a.cid != b.cid:
-                g.add_edge(a.cid, b.cid)
+                add_edge(a.cid, b.cid)
 
     for tree in uni:
         chain = tree.path_to(tree.flow.dest)
@@ -111,7 +115,7 @@ def build_certificate(
             if c.dst == logic.config.sxb_element and barrier:
                 for w in barrier:
                     if w != c.cid:
-                        g.add_edge(c.cid, w)
+                        add_edge(c.cid, w)
     for tree in bc:
         # request chain (pre-grant phase)
         for entry in tree.serialize_entries:
@@ -119,25 +123,24 @@ def build_certificate(
             add_chain(chain)
             for w in barrier:
                 if w != entry.cid:
-                    g.add_edge(entry.cid, w)
+                    add_edge(entry.cid, w)
             atomic.update(ch.cid for ch in tree.children[entry])
         # spread tree: parent->child edges except into the atomic grant set
         for c in tree.channels():
             for child in tree.children[c]:
                 if child.cid not in atomic and c.cid != child.cid:
-                    g.add_edge(c.cid, child.cid)
+                    add_edge(c.cid, child.cid)
 
     # atomic channels still need *some* rank; order them after their parent
     # (the entry) by keeping the parent->atomic edges implicit: give them
     # edges from every entry channel so the topological sort places them
     # consistently.
-    try:
-        order = list(nx.topological_sort(g))
-    except nx.NetworkXUnfeasible:
+    order = topo_order(succ)
+    if order is None:
         raise CertificateError(
             "tier-1 dependency graph is cyclic: no channel ordering exists "
             "for this configuration"
-        ) from None
+        )
     # include channels never seen in any flow at the end
     seen = set(order)
     tail = [c.cid for c in topo.channels() if c.cid not in seen]

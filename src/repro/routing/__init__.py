@@ -19,7 +19,6 @@ from .base import (
     RoutingScheme,
     SchemeAudit,
     SchemeRouteRelation,
-    find_vc_cycle,
 )
 from .registry import (
     DEFAULT_SCHEME_FOR_KIND,
@@ -51,7 +50,6 @@ __all__ = [
     "SchemeRouteRelation",
     "TorusScheme",
     "default_scheme",
-    "find_vc_cycle",
     "get_scheme",
     "make_scheme",
     "register_scheme",

@@ -26,10 +26,11 @@ escape subnetwork being acyclic and always present in the wait set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..core.config import ConfigError
 from ..core.coords import Coord
+from ..core.graph import find_cycle
 from ..core.packet import RC, Header
 from ..core.switch_logic import Decision
 from ..sim.adapter import SimDecision
@@ -52,46 +53,6 @@ class SchemeAudit:
         verdict = "acyclic" if self.cycle_free else "CYCLIC"
         extra = f" -- {self.detail}" if self.detail else ""
         return f"{self.scheme}: CDG {verdict} ({self.num_edges} edges){extra}"
-
-
-def find_vc_cycle(edges: Iterable[Tuple[VCKey, VCKey]]) -> Optional[List[VCKey]]:
-    """A cycle in the (channel, vc) dependency graph, or ``None``.
-
-    Iterative three-colour DFS; no library dependency so the check runs
-    identically in every worker.
-    """
-    adj: Dict[VCKey, List[VCKey]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-    for succs in adj.values():
-        succs.sort()
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[VCKey, int] = {}
-    for root in sorted(adj):
-        if colour.get(root, WHITE) != WHITE:
-            continue
-        stack: List[Tuple[VCKey, int]] = [(root, 0)]
-        path: List[VCKey] = []
-        colour[root] = GREY
-        path.append(root)
-        while stack:
-            node, idx = stack[-1]
-            succs = adj.get(node, [])
-            if idx < len(succs):
-                stack[-1] = (node, idx + 1)
-                nxt = succs[idx]
-                state = colour.get(nxt, WHITE)
-                if state == GREY:
-                    return path[path.index(nxt):] + [nxt]
-                if state == WHITE:
-                    colour[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, 0))
-            else:
-                colour[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
 
 
 class RoutingScheme:
@@ -246,15 +207,18 @@ class RoutingScheme:
     def check_cycle_free(self) -> SchemeAudit:
         """Run the scheme's deadlock-freedom self-check."""
         edges = self.dependency_edges()
-        cycle = find_vc_cycle(edges)
+        adj: Dict[VCKey, List[VCKey]] = {}
+        for a, b in sorted(edges):  # sorted roots and successors
+            adj.setdefault(a, []).append(b)
+        cycle = find_cycle(adj)
         detail = ""
-        if cycle is not None:
+        if cycle:
             detail = "cycle through " + " -> ".join(
-                f"c{cid}/vc{vc}" for cid, vc in cycle
+                f"c{cid}/vc{vc}" for cid, vc in cycle + cycle[:1]
             )
         return SchemeAudit(
             scheme=self.name,
-            cycle_free=cycle is None,
+            cycle_free=not cycle,
             num_edges=len(edges),
             detail=detail,
         )
@@ -322,5 +286,4 @@ __all__ = [
     "SchemeAudit",
     "SchemeRouteRelation",
     "VCKey",
-    "find_vc_cycle",
 ]

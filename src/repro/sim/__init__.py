@@ -10,7 +10,6 @@ from .engine import (
     CycleEngine,
     HookBus,
     RecoveryEvent,
-    find_pid_cycle,
 )
 from .fabric import Connection, InFlightPacket, PendingRequest, SimFlit, VCState
 from .monitor import Sample, SimMonitor, TextTrace, channel_load_heatmap
@@ -28,7 +27,6 @@ __all__ = [
     "CycleEngine",
     "HookBus",
     "PHASES",
-    "find_pid_cycle",
     "ADAPTIVE_VC",
     "AdaptiveMDAdapter",
     "ESCAPE_VC",

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.coords import Coord
+from ..core.graph import find_cycle
 from ..core.packet import Packet, RC
 from ..topology.base import Channel, ElementId, ElementKind, element_kind
 from .adapter import RoutingAdapter
@@ -1446,46 +1447,10 @@ class CycleEngine:
                         chans + (vc.channel,),
                         holders + (head.pid,),
                     )
-        cycle_pids = find_pid_cycle(edges)
+        cycle_pids = find_cycle({p: sorted(h) for p, h in edges.items()})
         return DeadlockReport(
             cycle=self.cycle,
             cycle_pids=tuple(cycle_pids),
             waits=waits,
             blocked_pids=tuple(sorted(self.in_flight)),
         )
-
-
-def find_pid_cycle(edges: Dict[int, Set[int]]) -> List[int]:
-    """Any cycle in the packet wait-for graph (empty if none found)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[int, int] = {}
-    parent: Dict[int, int] = {}
-
-    for start in edges:
-        if color.get(start, WHITE) is not WHITE:
-            continue
-        stack = [(start, iter(sorted(edges.get(start, ()))))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                st = color.get(nxt, WHITE)
-                if st == GRAY:
-                    # nxt is an ancestor on the DFS stack: walk back to it
-                    path = [node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        path.append(cur)
-                    return list(reversed(path))
-                if st == WHITE:
-                    color[nxt] = GRAY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(sorted(edges.get(nxt, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return []

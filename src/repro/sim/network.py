@@ -27,11 +27,7 @@ from .engine import (  # noqa: F401  (re-exported for compatibility)
     ReconfigReport,
     RecoveryEvent,
     SimResult,
-    find_pid_cycle,
 )
-
-#: legacy alias; prefer :func:`repro.sim.engine.find_pid_cycle`
-_find_pid_cycle = find_pid_cycle
 
 
 class NetworkSimulator(CycleEngine):

@@ -155,3 +155,41 @@ class TestGraphMechanics:
         )
         assert cdg.num_flows == 2
         assert len(cdg.trees) == 2
+
+
+class TestHazardWitnesses:
+    """A witness names a real cyclic wait: its channels follow tier-1
+    edges and every flow it lists is one that owns such an edge."""
+
+    def _find(self, topo, logic):
+        cdg = build_cdg(topo, logic)
+        return cdg, cdg.find_deadlock().hazard
+
+    def test_path_cycle_walks_tier1_edges(self, topo43):
+        logic = make_logic(
+            topo43, fault=Fault.router((2, 0)), detour_scheme=DetourScheme.NAIVE
+        )
+        cdg, hz = self._find(topo43, logic)
+        assert hz.kind == "path-cycle"
+        cids = [c.cid for c in hz.channels]
+        closed = list(zip(cids, cids[1:] + cids[:1]))
+        assert all(v in cdg.succ[u] for u, v in closed)
+        assert set(hz.flows) == {cdg.edge_flows[e] for e in closed}
+
+    def test_tree_path_witness_lists_each_channel_once(self, topo43):
+        logic = make_logic(
+            topo43,
+            fault=Fault.router((2, 0)),
+            detour_scheme=DetourScheme.NAIVE,
+            broadcast_mode=BroadcastMode.NAIVE,
+        )
+        cdg, hz = self._find(topo43, logic)
+        assert hz.kind == "tree-path-cycle"
+        cids = [c.cid for c in hz.channels]
+        # a chain w ->+ a of distinct tier-1 edges ...
+        assert len(set(cids)) == len(cids) >= 2
+        assert all(v in cdg.succ[u] for u, v in zip(cids, cids[1:]))
+        assert "?" not in hz.flows
+        # ... closed by one multicast that can hold a while waiting for w
+        (tree,) = [t for t in cdg.trees if t.name in hz.flows]
+        assert tree.state_allows(held=cids[-1], waited=cids[0])

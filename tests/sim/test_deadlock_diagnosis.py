@@ -6,23 +6,30 @@ import hashlib
 
 from repro.core import Fault, Header, Packet, RC, SwitchLogic, make_config
 from repro.core.config import BroadcastMode
+from repro.core.graph import find_cycle
 from repro.sim import MDCrossbarAdapter, NetworkSimulator, SimConfig
-from repro.sim.engine import DeadlockReport, find_pid_cycle
+from repro.sim.engine import DeadlockReport
 from repro.topology import MDCrossbar
+
+
+def wait_for_cycle(edges):
+    """The wait-for cycle exactly as the engine's deadlock report asks
+    for it: roots in insertion order, successors sorted."""
+    return find_cycle({p: sorted(h) for p, h in edges.items()})
 
 
 class TestFindPidCycle:
     def test_empty_graph(self):
-        assert find_pid_cycle({}) == []
+        assert wait_for_cycle({}) == []
 
     def test_no_cycle(self):
-        assert find_pid_cycle({1: {2}, 2: {3}, 3: set()}) == []
+        assert wait_for_cycle({1: {2}, 2: {3}, 3: set()}) == []
 
     def test_self_loop(self):
-        assert find_pid_cycle({7: {7}}) == [7]
+        assert wait_for_cycle({7: {7}}) == [7]
 
     def test_two_cycle(self):
-        cyc = find_pid_cycle({1: {2}, 2: {1}})
+        cyc = wait_for_cycle({1: {2}, 2: {1}})
         assert sorted(cyc) == [1, 2]
         # the order walks the cycle: consecutive elements are edges
         edges = {1: {2}, 2: {1}}
@@ -32,18 +39,18 @@ class TestFindPidCycle:
     def test_cycle_behind_a_tail(self):
         """A chain leading into a cycle: only the cyclic part is returned."""
         edges = {0: {1}, 1: {2}, 2: {3}, 3: {1}}
-        cyc = find_pid_cycle(edges)
+        cyc = wait_for_cycle(edges)
         assert sorted(cyc) == [1, 2, 3]
         assert 0 not in cyc
 
     def test_disjoint_cycles_returns_one(self):
         edges = {1: {2}, 2: {1}, 10: {11}, 11: {12}, 12: {10}}
-        cyc = find_pid_cycle(edges)
+        cyc = wait_for_cycle(edges)
         assert sorted(cyc) in ([1, 2], [10, 11, 12])
 
     def test_acyclic_component_before_cyclic_one(self):
         edges = {1: {2}, 2: set(), 5: {6}, 6: {5}}
-        assert sorted(find_pid_cycle(edges)) == [5, 6]
+        assert sorted(wait_for_cycle(edges)) == [5, 6]
 
 
 class TestDeadlockReportDescribe:

@@ -6,7 +6,10 @@ and the public observability helpers.  The guard introspects the engine
 for its actual private names, so it tracks refactors automatically.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.core import SwitchLogic, make_config
@@ -67,7 +70,7 @@ def test_no_legacy_private_cycle_finder_outside_sim():
     for path in outside_sim_sources():
         assert "_find_pid_cycle" not in path.read_text(), (
             f"{path} imports the legacy private name; "
-            "use repro.sim.find_pid_cycle"
+            "use repro.core.graph.find_cycle"
         )
 
 
@@ -78,3 +81,25 @@ def test_consumers_import_the_runtime_not_the_engine_guts():
     assert "runtime" in sweeps
     cli = (SRC / "cli.py").read_text()
     assert "from .runtime import" in cli
+
+
+def test_cli_import_does_not_load_networkx():
+    """The one cycle finder is :mod:`repro.core.graph`; no graph library
+    is loaded for it (it would dominate every CLI start-up)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
